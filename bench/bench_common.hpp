@@ -4,7 +4,7 @@
 // BASE_N uniform-random 40-bit keys, batches insert/delete INSERT_N more,
 // range queries run QUERIES parallel map_range_length calls. The paper runs
 // at 1e8 elements on 64 cores; defaults here are scaled to finish in seconds
-// (see DESIGN.md's substitution table) and every size can be raised with
+// (see docs/REPRODUCING.md) and every size can be raised with
 //   CPMA_BENCH_SCALE=<mult>   (applies to all base sizes)
 //   CPMA_BENCH_TRIALS=<n>     (measurement repetitions; default 3)
 #pragma once

@@ -1,6 +1,7 @@
 // Figure 9 / Table 14: graph-algorithm runtimes (PR, CC, BC) for F-Graph,
 // C-PaC, and Aspen-like containers, on RMAT and Erdős–Rényi graphs (the
-// substitution for the paper's social-network datasets; see DESIGN.md).
+// substitution for the paper's social-network datasets; see
+// docs/REPRODUCING.md).
 //
 // Expected shape (paper): F-Graph fastest on average (~1.2x over C-PaC,
 // ~1.3x over Aspen), with the largest advantage on PR (arbitrary-order full

@@ -57,35 +57,36 @@ template <typename Leaf>
 LeafSet build_leaves(const std::vector<uint64_t>& keys) {
   LeafSet ls;
   const size_t budget = kLeafBytes - cpma::pma::kLeafSlack;
-  size_t i = 0;
-  while (i < keys.size()) {
-    size_t j = i;
-    if constexpr (requires { typename Leaf::StreamSizer; }) {
-      typename Leaf::StreamSizer s{};
-      while (j < keys.size()) {
-        typename Leaf::StreamSizer t = s;
-        t.add(keys[j]);
-        if (s.n > 0 && t.selected_bytes(kLeafBytes) > budget) break;
-        s = t;
-        ++j;
-      }
-    } else {
-      size_t cost = Leaf::kHeadBytes;
-      ++j;
-      while (j < keys.size()) {
-        size_t c = Leaf::delta_bytes(keys[j - 1], keys[j]);
-        if (cost + c > budget) break;
-        cost += c;
-        ++j;
-      }
-    }
+  auto emit = [&](size_t i, size_t j) {
     ls.data.resize(ls.data.size() + kLeafBytes);
     uint8_t* lp = ls.data.data() + ls.num_leaves * kLeafBytes;
     Leaf::write(lp, kLeafBytes, keys.data() + i, j - i);
     ls.encoded_bytes += Leaf::used_bytes(lp, kLeafBytes);
     ++ls.num_leaves;
     ls.num_keys += j - i;
-    i = j;
+  };
+  if constexpr (requires { typename Leaf::Packer; }) {
+    std::vector<typename Leaf::PackedLeaf> plan;
+    typename Leaf::Packer(keys.data(), keys.size(), kLeafBytes)
+        .pack(budget, &plan);
+    for (size_t p = 0; p < plan.size(); ++p) {
+      emit(plan[p].begin,
+           p + 1 < plan.size() ? plan[p + 1].begin : keys.size());
+    }
+  } else {
+    size_t i = 0;
+    while (i < keys.size()) {
+      size_t j = i + 1;
+      size_t cost = Leaf::kHeadBytes;
+      while (j < keys.size()) {
+        size_t c = Leaf::delta_bytes(keys[j - 1], keys[j]);
+        if (cost + c > budget) break;
+        cost += c;
+        ++j;
+      }
+      emit(i, j);
+      i = j;
+    }
   }
   return ls;
 }

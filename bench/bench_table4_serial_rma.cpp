@@ -1,8 +1,9 @@
 // Table 4: serial batch-insert throughput — the paper's work-efficient batch
 // algorithm run on one core versus the Rewired-PMA-style serial batch
 // baseline (per-leaf merges with per-leaf rebalance walks; see
-// PackedMemoryArray::insert_batch_serial_baseline and DESIGN.md for the
-// substitution rationale).
+// PackedMemoryArray::insert_batch_serial_baseline). The baseline reproduces
+// the RMA's batch structure over the same flat leaf array, not its
+// memory-rewiring allocator.
 //
 // Expected shape (paper): the paper's algorithm ~1.2-1.3x the RMA across
 // batch sizes.

@@ -2,7 +2,7 @@
 // are BLOCKS of up to ~256 elements, in uncompressed (U-PaC) and compressed
 // (C-PaC, delta + byte codes) variants — the paper's main comparator.
 //
-// Differences from CPAM, documented in DESIGN.md: CPAM rebalances with
+// Differences from CPAM: CPAM rebalances with
 // weight-balanced joins; we keep weight balance by rebuilding a subtree when
 // a batch update unbalances it (scapegoat-style). Batch updates rebuild the
 // merged leaves either way, so the batch work bound matches, and the

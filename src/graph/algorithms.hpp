@@ -49,12 +49,19 @@ std::vector<double> pagerank(G& g, int iterations = 10,
     // PR precisely because the kernel is a pass over all edges.
     // Flat path: degrees via a run scan (no vertex index at all), then one
     // linear pass per iteration.
-    std::vector<std::atomic<double>> next(n);
-    std::vector<double> deg(n, 0.0);
+    // A vertex whose adjacency spans several leaves is emitted by several
+    // leaf tasks, so its degree (like its rank below) sums atomically.
+    std::vector<std::atomic<double>> next(n);  // zeroed: degree sums first
+    std::vector<double> deg(n);
     g.scan_neighbor_runs(
         0.0, [](vertex_t) { return 1.0; },
         [](double a, double b) { return a + b; },
-        [&](vertex_t src, double cnt) { deg[src] += cnt; });
+        [&](vertex_t src, double cnt) {
+          detail::atomic_add_double(next[src], cnt);
+        });
+    par::parallel_for(0, n, [&](uint64_t v) {
+      deg[v] = next[v].load(std::memory_order_relaxed);
+    });
     for (int iter = 0; iter < iterations; ++iter) {
       par::parallel_for(0, n, [&](uint64_t v) {
         contrib[v] = deg[v] == 0 ? 0.0 : rank[v] / deg[v];

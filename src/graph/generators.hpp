@@ -3,8 +3,8 @@
 // The paper evaluates on real social networks plus synthetic graphs; without
 // the multi-GB downloads we generate the same *shapes*: RMAT (a=.5, b=c=.1,
 // d=.3 — the skewed distribution the paper samples its insert batches from)
-// and Erdős–Rényi (the paper's ER graph, uniform degrees). See DESIGN.md's
-// substitution table.
+// and Erdős–Rényi (the paper's ER graph, uniform degrees). See
+// docs/REPRODUCING.md for where these stand in for the paper's datasets.
 #pragma once
 
 #include <cmath>

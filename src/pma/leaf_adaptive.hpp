@@ -29,20 +29,25 @@
 // by adaptive_bitmap_margin(); group-varint is attempted when canonical
 // body bytes per key reach adaptive_gv_bytes_per_key(). CPMA_FORCE_CODEC
 // pins the choice (still subject to the exact-size check). The same gates
-// drive StreamSizer, the incremental sizer the engine uses to pack leaves
-// by physical (selected-format) bytes during spread/rebuild.
+// drive Packer, the block-summary packer the engine uses to cut leaves by
+// physical (selected-format) bytes during spread/rebuild, which hands each
+// leaf's format to write_format directly.
 #pragma once
 
+#include <algorithm>
 #include <cassert>
 #include <cstdint>
 #include <cstring>
 #include <optional>
+#include <utility>
 #include <variant>
 #include <vector>
 
 #include "codec/bitmap_leaf.hpp"
 #include "codec/delta_stream.hpp"
 #include "codec/group_varint.hpp"
+#include "parallel/scan.hpp"
+#include "parallel/scheduler.hpp"
 #include "pma/leaf_compressed.hpp"
 #include "pma/settings.hpp"
 
@@ -445,8 +450,8 @@ struct AdaptiveLeaf {
  public:
   // ---- materialized writes (format selection happens here) ------------------
 
-  // Selection gates shared by select_format (array form) and StreamSizer
-  // (incremental form). All sizes are exact encoded sizes including the
+  // Selection gates shared by select_format (array form) and Packer
+  // (range-sum form). All sizes are exact encoded sizes including the
   // kHeadBytes header; the chosen format's size never exceeds the canonical
   // (byte-varint) size, which batch planning quotes as the upper bound.
   static uint8_t choose_format(size_t n, size_t canonical, size_t bmsz,
@@ -476,52 +481,169 @@ struct AdaptiveLeaf {
                          GV::encoded_size(keys, n), cap);
   }
 
-  // Incremental exact sizer for a growing key slice: tracks each format's
-  // encoded body bytes key-by-key so the engine can pack leaves by the size
-  // the slice will ACTUALLY materialize at (selected format), not by its
-  // canonical byte-varint cost. Physical packing is what lets dense regions
-  // keep their bitmap-compressed footprint through redistributes/resizes.
-  struct StreamSizer {
-    size_t n = 0;
-    uint64_t first = 0;
-    uint64_t last = 0;
-    uint64_t win = 0;        // bitmap window of `last`
-    bool pair_open = false;  // current window already has a bitmap pair
-    size_t bv_bytes = 0, gv_bytes = 0, bm_bytes = 0;  // body bytes
+  // ---- physical packing -----------------------------------------------------
+  // The engine packs leaves by the size a slice ACTUALLY materializes at
+  // (its selected format), not by its canonical byte-varint cost: physical
+  // packing is what lets dense regions keep their bitmap-compressed footprint
+  // through redistributes and resizes.
+  //
+  // Every format's body is a sum of per-key terms, each a function of the
+  // key and its predecessor: byte- and group-varint pay their delta's code;
+  // the bitmap pays pair_bytes(window delta) when the key opens a new window
+  // and nothing when it only sets a bit. The one exception is the key right
+  // after a leaf head, which always opens a pair (delta 0 if it shares the
+  // head's window). So an exact size of any slice is a range sum plus that
+  // boundary term, and range sums over fixed blocks can be precomputed in
+  // parallel once per stream.
 
-    void add(uint64_t key) {
-      if (n++ == 0) {
-        first = last = key;
-        win = codec::bitmap::window(key);
-        return;
-      }
-      const uint64_t d = key - last;
-      bv_bytes += codec::ByteVarintCodec::size(d);
-      gv_bytes += codec::GroupVarintCodec::size(d);
-      const uint64_t wk = codec::bitmap::window(key);
-      if (!pair_open || wk != win) {
-        // New pair: biased window delta chained from the previous pair's
-        // window (== window(last); the head shares this rule via delta 0).
-        bm_bytes += codec::ByteVarintCodec::size(wk - win + 1) + 8;
-        pair_open = true;
-      }
-      win = wk;
-      last = key;
+  struct FormatBytes {
+    uint64_t bv = 0, gv = 0, bm = 0;  // body bytes per format
+    FormatBytes& operator+=(const FormatBytes& o) {
+      bv += o.bv;
+      gv += o.gv;
+      bm += o.bm;
+      return *this;
+    }
+    FormatBytes& operator-=(const FormatBytes& o) {
+      bv -= o.bv;
+      gv -= o.gv;
+      bm -= o.bm;
+      return *this;
+    }
+    uint64_t min() const { return std::min({bv, gv, bm}); }
+  };
+
+  // Body bytes key `key` adds after `prev` in the same leaf; `after_head`
+  // marks the first key after the head.
+  static FormatBytes key_bytes(uint64_t prev, uint64_t key, bool after_head) {
+    namespace bm = codec::bitmap;
+    const uint64_t d = key - prev;
+    const uint64_t dw = bm::window(key) - bm::window(prev);
+    return {codec::ByteVarintCodec::size(d), codec::GroupVarintCodec::size(d),
+            (after_head || dw != 0) ? bm::pair_bytes(dw) : 0};
+  }
+
+  // One leaf of a packing: keys [begin, next leaf's begin), written in
+  // `fmt` at exactly `bytes` (== used_bytes after write_format).
+  struct PackedLeaf {
+    uint64_t begin;
+    uint64_t bytes;
+    uint8_t fmt;
+  };
+
+  // Block-summary packer over one sorted stream. Construction computes each
+  // 64-key block's three format sums in parallel and prefix-sums them; pack()
+  // then cuts greedy leaves with O(64) serial work per leaf instead of a walk
+  // over every key.
+  class Packer {
+   public:
+    static constexpr uint64_t kBlock = 64;
+    // Blocks per task of the summary pass: streams below 8192 keys are
+    // summarized inline, without forking (engine arenas rely on this).
+    static constexpr uint64_t kGrainBlocks = 8192 / kBlock;
+
+    Packer(const uint64_t* keys, uint64_t n, size_t cap)
+        : keys_(keys),
+          n_(n),
+          cap_(cap),
+          prefix_((n + kBlock - 1) / kBlock + 1) {
+      const uint64_t nb = prefix_.size() - 1;
+      par::parallel_for(0, nb, [&](uint64_t b) {
+        FormatBytes sum;
+        const uint64_t end = std::min(n_, (b + 1) * kBlock);
+        for (uint64_t i = std::max<uint64_t>(b * kBlock, 1); i < end; ++i) {
+          sum += key_bytes(keys_[i - 1], keys_[i], false);
+        }
+        prefix_[b] = sum;
+      }, kGrainBlocks);
+      prefix_[nb] = FormatBytes{};
+      par::exclusive_scan_inplace(prefix_);
     }
 
-    // Exact bytes write() would materialize this slice at within `cap`.
-    size_t selected_bytes(size_t cap) const {
-      if (n == 0) return 0;
-      switch (choose_format(n, kHeadBytes + bv_bytes, kHeadBytes + bm_bytes,
-                            kHeadBytes + gv_bytes, cap)) {
-        case kBitmap:
-          return kHeadBytes + bm_bytes;
-        case kGroupVarint:
-          return kHeadBytes + gv_bytes;
-        default:
-          return kHeadBytes + bv_bytes;
+    // Encoded size of the whole stream as one byte-varint run (the
+    // canonical cost spread budgets quote).
+    uint64_t canonical_bytes() const {
+      return n_ == 0 ? 0 : kHeadBytes + prefix_.back().bv;
+    }
+
+    // Greedy packing at `budget` bytes per leaf: each leaf is the longest
+    // slice from its first key whose selected-format size fits. Returns
+    // {leaves, physical bytes}; appends every leaf to `out` when given.
+    std::pair<uint64_t, uint64_t> pack(uint64_t budget,
+                                       std::vector<PackedLeaf>* out = nullptr)
+        const {
+      uint64_t leaves = 0, phys = 0;
+      for (uint64_t s = 0; s < n_;) {
+        PackedLeaf leaf{s, 0, kByteVarint};
+        s = cut(s, budget, leaf);
+        if (out != nullptr) out->push_back(leaf);
+        phys += leaf.bytes;
+        ++leaves;
+      }
+      return {leaves, phys};
+    }
+
+   private:
+    // Cuts the leaf starting at key s; fills leaf.fmt/bytes and returns one
+    // past its last key.
+    uint64_t cut(uint64_t s, uint64_t budget, PackedLeaf& leaf) const {
+      // The smallest of the three sizes only grows as keys are appended, so
+      // it bounds the cut from above; the selected size is not monotone
+      // (choose_format can switch formats), so the last step walks back.
+      auto fits = [&](const FormatBytes& b) {
+        return kHeadBytes + b.min() <= budget;
+      };
+      FormatBytes b;  // body bytes of keys [s, e)
+      uint64_t e = s + 1;
+      bool open = true;  // the minimum still fits
+      // Key by key up to the next block boundary (always at least the key
+      // after the head, whose bitmap term is the boundary exception).
+      for (; e < n_ && (e == s + 1 || e % kBlock != 0); ++e) {
+        FormatBytes t = b;
+        t += key_bytes(keys_[e - 1], keys_[e], e == s + 1);
+        if (!fits(t)) {
+          open = false;
+          break;
+        }
+        b = t;
+      }
+      if (open) {
+        // Whole blocks while the minimum stays within budget...
+        while (e < n_) {
+          const uint64_t blk = e / kBlock;
+          FormatBytes t = b;
+          t += prefix_[blk + 1];
+          t -= prefix_[blk];
+          if (!fits(t)) break;
+          b = t;
+          e = std::min(n_, e + kBlock);
+        }
+        // ...then key by key inside the block where it runs out.
+        for (; e < n_; ++e) {
+          FormatBytes t = b;
+          t += key_bytes(keys_[e - 1], keys_[e], false);
+          if (!fits(t)) break;
+          b = t;
+        }
+      }
+      // Step back while the format write() would select overflows.
+      for (;;) {
+        const size_t bv = kHeadBytes + b.bv, gv = kHeadBytes + b.gv,
+                     bms = kHeadBytes + b.bm;
+        leaf.fmt = choose_format(e - s, bv, bms, gv, cap_);
+        leaf.bytes = leaf.fmt == kBitmap        ? bms
+                     : leaf.fmt == kGroupVarint ? gv
+                                                : bv;
+        if (leaf.bytes <= budget || e == s + 1) return e;
+        --e;
+        b -= key_bytes(keys_[e - 1], keys_[e], e == s + 1);
       }
     }
+
+    const uint64_t* keys_;
+    uint64_t n_;
+    size_t cap_;
+    std::vector<FormatBytes> prefix_;  // [b]: key terms of keys [1, b*kBlock)
   };
 
   static void write_format(uint8_t* leaf, size_t cap, const uint64_t* keys,

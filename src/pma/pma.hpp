@@ -730,14 +730,12 @@ class PackedMemoryArray {
     for (uint64_t l = lo; l < hi; ++l) {
       Leaf::decode_append(leaf_ptr(l), leaf_bytes_, keys);
     }
-    if constexpr (requires(const uint8_t* p) { Leaf::format_of(p); }) {
+    if constexpr (requires { typename Leaf::Packer; }) {
       // Byte density admitted this region, but physical packing can still
       // need more leaves than it has (dense-island fragmentation: an
       // island's tail leaf cannot absorb far keys in any format). Escalate
       // to ancestors until the content provably fits; at the root, resize.
-      while (pack_physical(keys.data(), keys.size(),
-                           leaf_bytes_ - kLeafSlack - 18)
-                 .first > hi - lo) {
+      while (pack_physical(keys.data(), keys.size()).first > hi - lo) {
         if (tree.is_root(node)) {
           resize_rebuild(/*growing=*/true);
           return;
@@ -760,58 +758,45 @@ class PackedMemoryArray {
   // Writes keys[0..n) into leaves [lo, hi), equalizing BYTE densities: the
   // paper's redistribution "spreads the elements evenly" — with compression,
   // evenly in encoded bytes. Parallel: per-key costs, prefix sums, split by
-  // byte budget, write each leaf independently.
+  // byte budget, write each leaf independently. Streams below
+  // kSerialSpreadKeys are spread without forking.
+  static constexpr uint64_t kSerialSpreadKeys = 8192;
   void spread(uint64_t lo, uint64_t hi, const key_type* keys, uint64_t n);
 
   // Per-key incremental encoded cost used by spread.
   static uint64_t key_cost(key_type prev, key_type key, bool first);
 
-  // Greedy physical packer for multi-format leaves: walks the stream
-  // accumulating each format's exact encoded size (Leaf::StreamSizer) and
-  // cuts a new leaf whenever the SELECTED format's size would exceed
-  // `budget`. Canonical (byte-varint) budgeting under-counts how many keys a
-  // bitmap leaf absorbs, so dense regions must be split by the bytes they
-  // will actually materialize at. Returns {leaves, physical bytes}; when
-  // `cuts` is given, records each leaf's first key index. Only instantiated
-  // for leaves exposing StreamSizer (AdaptiveLeaf).
-  std::pair<uint64_t, uint64_t> pack_physical(
-      const key_type* keys, uint64_t n, uint64_t budget,
-      std::vector<uint64_t>* cuts = nullptr) const {
-    typename Leaf::StreamSizer s{};
-    uint64_t leaves = 0, phys = 0;
-    for (uint64_t i = 0; i < n; ++i) {
-      typename Leaf::StreamSizer t = s;
-      t.add(keys[i]);
-      if (s.n > 0 && t.selected_bytes(leaf_bytes_) > budget) {
-        phys += s.selected_bytes(leaf_bytes_);
-        ++leaves;
-        s = {};
-        s.add(keys[i]);
-        if (cuts) cuts->push_back(i);
-      } else {
-        if (s.n == 0 && cuts) cuts->push_back(i);
-        s = t;
-      }
-    }
-    if (s.n > 0) {
-      phys += s.selected_bytes(leaf_bytes_);
-      ++leaves;
-    }
-    return {leaves, phys};
+  // Per-leaf byte budget ceiling: the slack every leaf keeps for in-place
+  // growth, plus room for one maximal code.
+  uint64_t leaf_budget_cap() const { return leaf_bytes_ - kLeafSlack - 18; }
+
+  // Physical packing for multi-format leaves (Leaf::Packer, AdaptiveLeaf
+  // only): greedy leaves cut by the EXACT size of the format each will be
+  // written in, at the per-leaf cap. Canonical (byte-varint) budgeting
+  // under-counts how many keys a bitmap leaf absorbs, so dense regions must
+  // be split by the bytes they will actually materialize at. Returns
+  // {leaves, physical bytes}. The packer's block-summary pass is parallel
+  // (serial below 8192 keys) and its cut work is O(64) per leaf, so this is
+  // the one sizing primitive of spread, rebuild_into, stream_size_parallel
+  // and redistribute_serial.
+  std::pair<uint64_t, uint64_t> pack_physical(const key_type* keys,
+                                              uint64_t n) const {
+    return typename Leaf::Packer(keys, n, leaf_bytes_)
+        .pack(leaf_budget_cap());
   }
 
   // Parallel equivalent of Leaf::encoded_size (a serial pass over millions
   // of keys otherwise shows up in every resize). For multi-format leaves the
-  // estimate is PHYSICAL: the bytes the stream packs into at the current
-  // leaf cap, so resize targets track the compressed footprint dense
-  // regions actually occupy (canonical sizing would over-allocate them and
-  // erase the bitmap space win).
+  // estimate is PHYSICAL: pack_physical's bytes at the current leaf cap, so
+  // resize targets track the compressed footprint dense regions actually
+  // occupy (canonical sizing would over-allocate them and erase the bitmap
+  // space win).
   uint64_t stream_size_parallel(const key_type* keys, uint64_t n) const {
     if (n == 0) return 0;
-    if constexpr (requires(const uint8_t* p) { Leaf::format_of(p); }) {
-      return pack_physical(keys, n, leaf_bytes_ - kLeafSlack - 18).second;
+    if constexpr (requires { typename Leaf::Packer; }) {
+      return pack_physical(keys, n).second;
     }
-    if (n < 8192) return Leaf::encoded_size(keys, n);
+    if (n < kSerialSpreadKeys) return Leaf::encoded_size(keys, n);
     return 8 + par::parallel_sum<uint64_t>(1, n, [&](uint64_t i) {
              return key_cost(keys[i - 1], keys[i], false);
            });

@@ -35,7 +35,7 @@ void PackedMemoryArray<Leaf>::spread(uint64_t lo, uint64_t hi,
     }, 8);
     return;
   }
-  const uint64_t budget_cap = leaf_bytes_ - kLeafSlack - 18;
+  const uint64_t budget_cap = leaf_budget_cap();
 
   // Multi-format leaves: when the canonical (byte-varint) budget would clamp
   // at the per-leaf cap, the region is denser than canonical accounting can
@@ -43,42 +43,55 @@ void PackedMemoryArray<Leaf>::spread(uint64_t lo, uint64_t hi,
   // canonical cost would cram the tail into one leaf and overflow it
   // physically. Pack greedily by the EXACT selected-format size instead:
   // probe at the cap to learn the physical total, then re-pack at an even
-  // per-leaf budget so densities stay balanced.
-  if constexpr (requires(const uint8_t* p) { Leaf::format_of(p); }) {
-    uint64_t canonical = 0;
-    if (n < 8192) {
-      for (uint64_t i = 0; i < n; ++i) {
-        canonical += key_cost(i > 0 ? keys[i - 1] : 0, keys[i], i == 0);
-      }
-    } else {
-      canonical = 8 + par::parallel_sum<uint64_t>(1, n, [&](uint64_t i) {
-                    return key_cost(keys[i - 1], keys[i], false);
-                  });
-    }
+  // per-leaf budget so densities stay balanced. One block-summary pass
+  // serves the canonical total and every packing; the leaves are then
+  // written in parallel in the formats the packer chose.
+  if constexpr (requires { typename Leaf::Packer; }) {
+    using Packer = typename Leaf::Packer;
+    static_assert(Packer::kGrainBlocks * Packer::kBlock >= kSerialSpreadKeys,
+                  "small spreads must not fork");
+    const Packer packer(keys, n, leaf_bytes_);
     const uint64_t budget0 =
-        (canonical + Leaf::kHeadBytes * m + m - 1) / m + 2;
+        (packer.canonical_bytes() + Leaf::kHeadBytes * m + m - 1) / m + 2;
     if (budget0 > budget_cap) {
-      auto [lmin, phys] = pack_physical(keys, n, budget_cap);
+      auto [lmin, phys] = packer.pack(budget_cap);
       assert(lmin <= m && "region physically too dense to spread");
       (void)lmin;
       uint64_t budget = std::max<uint64_t>(
           16, phys / m + Leaf::kHeadBytes + 16);
       budget = std::min(budget, budget_cap);
-      std::vector<uint64_t> cuts;
+      std::vector<typename Leaf::PackedLeaf> plan;
       for (;;) {
-        cuts.clear();
-        auto [l2, p2] = pack_physical(keys, n, budget, &cuts);
-        (void)p2;
-        if (l2 <= m || budget >= budget_cap) break;
+        plan.clear();
+        if (packer.pack(budget, &plan).first <= m || budget >= budget_cap) {
+          break;
+        }
         // Per-leaf fragmentation pushed the even budget past m leaves;
         // retry closer to the cap (the probe guarantees it fits there).
         budget = std::min<uint64_t>(budget_cap, budget + budget / 4 + 8);
       }
-      if (cuts.size() > m) cuts.resize(m);  // cap-probe assert covers this
-      for (uint64_t j = 0; j < m; ++j) {
-        const uint64_t s = j < cuts.size() ? cuts[j] : n;
-        const uint64_t e = j + 1 < cuts.size() ? cuts[j + 1] : n;
-        Leaf::write(leaf_ptr(lo + j), leaf_bytes_, keys + s, e - s);
+      // Only reachable past the cap-probe assert: the last leaf takes the
+      // rest and re-selects its format.
+      const bool clipped = plan.size() > m;
+      if (clipped) plan.resize(m);
+      auto write = [&](uint64_t j) {
+        uint8_t* leaf = leaf_ptr(lo + j);
+        if (j >= plan.size()) {
+          std::memset(leaf, 0, leaf_bytes_);
+          return;
+        }
+        const uint64_t s = plan[j].begin;
+        const uint64_t e = j + 1 < plan.size() ? plan[j + 1].begin : n;
+        if (clipped && j + 1 == m) {
+          Leaf::write(leaf, leaf_bytes_, keys + s, e - s);
+        } else {
+          Leaf::write_format(leaf, leaf_bytes_, keys + s, e - s, plan[j].fmt);
+        }
+      };
+      if (n < kSerialSpreadKeys) {
+        for (uint64_t j = 0; j < m; ++j) write(j);
+      } else {
+        par::parallel_for(0, m, write, 4);
       }
       return;
     }
@@ -86,7 +99,7 @@ void PackedMemoryArray<Leaf>::spread(uint64_t lo, uint64_t hi,
 
   // Serial fast path: point-update redistributes spread a few hundred keys;
   // fork-join setup would dominate.
-  if (n < 8192) {
+  if (n < kSerialSpreadKeys) {
     uint64_t total = 0;
     for (uint64_t i = 0; i < n; ++i) {
       total += key_cost(i > 0 ? keys[i - 1] : 0, keys[i], i == 0);
@@ -180,14 +193,13 @@ void PackedMemoryArray<Leaf>::rebuild_into(uint64_t new_total_bytes,
   leaf_bytes_ = pick_leaf_bytes(new_total_bytes);
   num_leaves_ = std::max<uint64_t>(
       kMinLeaves, util::div_round_up(new_total_bytes, leaf_bytes_));
-  if constexpr (requires(const uint8_t* p) { Leaf::format_of(p); }) {
+  if constexpr (requires { typename Leaf::Packer; }) {
     // Physical packing can need more leaves than byte density predicts: a
     // dense (bitmap) island's tail leaf cannot absorb far-away keys in any
     // format, so each island may cost one underfull leaf. Probe the greedy
     // packer at the per-leaf cap and make sure the array has that many
     // leaves plus headroom.
-    const uint64_t lmin =
-        pack_physical(keys, n, leaf_bytes_ - kLeafSlack - 18).first;
+    const uint64_t lmin = pack_physical(keys, n).first;
     num_leaves_ = std::max(num_leaves_, lmin + (lmin + 3) / 4);
   }
   // No zero pass: spread() writes every leaf (including empty ones, whose
@@ -1016,11 +1028,14 @@ void PackedMemoryArray<Leaf>::redistribute_parallel(
     const std::vector<NodeId>& roots, BatchContext& ctx) {
   ImplicitTree tree(num_leaves_);
   const bool has_ovf = !ctx.overflow_list.empty();
-  // Regions small enough that every step below (including spread, whose
-  // serial fast path starts at 8192 keys) runs serially inside this task can
-  // use the per-worker arena: with no suspension point while the arena is
-  // live, a stolen sibling task can never observe it mid-use. Larger regions
-  // allocate task-locally and keep their internal parallelism.
+  // Small regions pack through the per-worker arena, which is only safe
+  // while nothing inside this task forks: a worker that helps at a join can
+  // steal a sibling root task, which would then reuse the same arena. The
+  // counting and decoding below are serial for small regions; spread forks
+  // from kSerialSpreadKeys keys, and a dense (bitmap) region of a few leaves
+  // can hold more than that, so the KEY total decides whether the arena
+  // buffer may back the spread. Larger regions allocate task-locally and
+  // keep their internal parallelism.
   const uint64_t arena_max_bytes = 8191;
   par::parallel_for(0, roots.size(), [&](uint64_t r) {
     NodeId node = roots[r];
@@ -1053,11 +1068,13 @@ void PackedMemoryArray<Leaf>::redistribute_parallel(
         a.counts[j] = total;
         total += c;
       }
-      a.buffer.resize(total);
+      kvec local;
+      kvec& buffer = total < kSerialSpreadKeys ? a.buffer : local;
+      buffer.resize(total);
       for (uint64_t j = 0; j < m; ++j) {
-        leaf_fill(lo + j, a.buffer.data() + a.counts[j]);
+        leaf_fill(lo + j, buffer.data() + a.counts[j]);
       }
-      spread(lo, hi, a.buffer.data(), total);
+      spread(lo, hi, buffer.data(), total);
       return;
     }
     // Pack: per-leaf counts -> prefix -> decode into slices (two parallel

@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <queue>
+#include <thread>
 #include <vector>
 
 #include "graph/algorithms.hpp"
@@ -12,8 +13,10 @@
 #include "graph/fgraph.hpp"
 #include "graph/generators.hpp"
 #include "graph/tree_graphs.hpp"
+#include "parallel/scheduler.hpp"
 
 using namespace cpma::graph;
+namespace par = cpma::par;
 
 namespace {
 
@@ -216,4 +219,32 @@ TEST(AlgoDynamic, PRTracksGraphUpdates) {
   Csr csr(d1.n, all);
   auto pf = pagerank(f), pcsr = pagerank(csr);
   for (size_t v = 0; v < pf.size(); ++v) ASSERT_NEAR(pf[v], pcsr[v], 1e-12);
+}
+
+TEST(AlgoConcurrent, FlatPageRankDegreesAcrossLeaves) {
+  // Hubs adjacent to every vertex: each hub's edge run spans several CPMA
+  // leaves, so the flat path's degree pass gets the same source from
+  // several parallel leaf tasks. Repeated runs on 4 workers must match the
+  // prepare()/CSR path every time.
+  par::Scheduler::set_num_workers(4);
+  const vertex_t n = 2048;
+  std::vector<uint64_t> es = rmat_edges(11, 6000, 28);
+  for (vertex_t hub = 0; hub < 4; ++hub) {
+    for (vertex_t v = 0; v < n; ++v) {
+      if (v != hub) es.push_back(edge_key(hub, v));
+    }
+  }
+  es = symmetrize(es);
+  FGraph f(n, es);
+  ASSERT_GT(f.edge_set().num_leaves(), 16u);
+  Csr csr(n, es);
+  const auto want = pagerank(csr);
+  for (int run = 0; run < 20; ++run) {
+    const auto got = pagerank(f);
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t v = 0; v < want.size(); ++v) {
+      ASSERT_NEAR(got[v], want[v], 1e-12) << "run " << run << " vertex " << v;
+    }
+  }
+  par::Scheduler::set_num_workers(std::thread::hardware_concurrency());
 }

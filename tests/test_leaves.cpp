@@ -4,8 +4,12 @@
 // invariants the engine relies on (byte accounting, zero-fill tails).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <iterator>
 #include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "codec/group_varint.hpp"
@@ -499,4 +503,176 @@ TEST(UncompressedLeafOnly, FixedEightBytesPerElement) {
   pma::UncompressedLeaf::write(buf.data(), buf.size(), keys.data(),
                                keys.size());
   EXPECT_EQ(pma::UncompressedLeaf::used_bytes(buf.data(), buf.size()), 24u);
+}
+
+// ---- AdaptiveLeaf::Packer: block-summary physical packing ------------------
+
+namespace {
+
+using ALeaf = pma::AdaptiveLeaf;
+
+// Sorted unique streams covering each format's regime: dense runs (bitmap),
+// sparse 40-bit keys (byte-varint), sparse 32-bit keys (group-varint), a
+// stream whose smallest format the selection gates reject, dense runs and
+// sparse keys interleaved, and runs that
+// straddle 64-key windows across window deltas at the varint size steps
+// (127/128, 16383/16384), where the bitmap pair terms change length.
+std::vector<uint64_t> packer_stream(const std::string& kind, uint64_t seed) {
+  Rng r(seed);
+  std::vector<uint64_t> keys;
+  auto dense_runs = [&](size_t target) {
+    while (keys.size() < target) {
+      const uint64_t base = 1 + (r.next() >> 24);
+      const uint64_t len = 64 + r.next_below(1500);
+      const uint64_t step = 1 + r.next_below(2);
+      for (uint64_t i = 0; i < len; ++i) keys.push_back(base + i * step);
+    }
+  };
+  if (kind == "dense_runs") {
+    dense_runs(9000);
+  } else if (kind == "sparse40") {
+    for (int i = 0; i < 4000; ++i) keys.push_back(1 + (r.next() >> 24));
+  } else if (kind == "sparse32") {  // 3-byte deltas: group-varint ties
+    for (int i = 0; i < 4000; ++i) keys.push_back(1 + (r.next() >> 32));
+  } else if (kind == "gv_gate") {
+    // 2-byte deltas (a tie) with every tenth delta in [2^35, 2^37), where
+    // group-varint is a byte smaller: group-varint is the smallest format,
+    // but at < 2.5 canonical bytes/key the gate selects byte-varint, so
+    // cuts must step back from where the minimum runs out.
+    uint64_t k = 1;
+    for (int i = 0; i < 4000; ++i) {
+      k += i % 10 == 9 ? (uint64_t{1} << 35) + r.next_below(uint64_t{1} << 35)
+                       : 128 + r.next_below(8000);
+      keys.push_back(k);
+    }
+  } else if (kind == "mixed") {
+    dense_runs(5000);
+    for (int i = 0; i < 2000; ++i) keys.push_back(1 + (r.next() >> 24));
+  } else {  // straddle
+    const uint64_t gaps[] = {0, 1, 2, 126, 127, 128, 16383, 16384, 1u << 21};
+    uint64_t w = 1000;
+    while (keys.size() < 8000) {
+      w += gaps[r.next_below(std::size(gaps))];
+      // A short run starting near the window's top so it spills into the
+      // next window, or a few scattered bits.
+      if (r.next_below(2) == 0) {
+        const uint64_t start = (w << 6) + 56 + r.next_below(8);
+        const uint64_t len = 2 + r.next_below(20);
+        for (uint64_t i = 0; i < len; ++i) keys.push_back(start + i);
+        w = (start + len) >> 6;
+      } else {
+        keys.push_back(w << 6);
+        keys.push_back((w << 6) + 63);
+      }
+      ++w;
+    }
+  }
+  std::sort(keys.begin(), keys.end());
+  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+  return keys;
+}
+
+// Exact size write() materializes keys[0, n) at within `cap`, from scratch.
+size_t selected_size(const uint64_t* keys, size_t n, size_t cap) {
+  switch (ALeaf::select_format(keys, n, cap)) {
+    case ALeaf::kBitmap:
+      return ALeaf::kHeadBytes + cpma::codec::bitmap::body_size(keys, n);
+    case ALeaf::kGroupVarint:
+      return ALeaf::GV::encoded_size(keys, n);
+    default:
+      return ALeaf::BV::encoded_size(keys, n);
+  }
+}
+
+// Brute-force reference: from each leaf start, try every cut and keep the
+// longest slice whose selected size fits. Each format's size only grows as
+// keys are appended, so once all three exceed the budget no longer cut can
+// fit and the scan stops.
+uint64_t reference_leaves(const std::vector<uint64_t>& keys, uint64_t budget,
+                          size_t cap) {
+  uint64_t leaves = 0;
+  for (size_t s = 0; s < keys.size();) {
+    size_t best = s + 1;
+    for (size_t e = s + 2; e <= keys.size(); ++e) {
+      const uint64_t* k = keys.data() + s;
+      const size_t n = e - s;
+      const size_t bv = ALeaf::BV::encoded_size(k, n);
+      const size_t gv = ALeaf::GV::encoded_size(k, n);
+      const size_t bm =
+          ALeaf::kHeadBytes + cpma::codec::bitmap::body_size(k, n);
+      if (std::min({bv, gv, bm}) > budget) break;
+      if (selected_size(k, n, cap) <= budget) best = e;
+    }
+    ++leaves;
+    s = best;
+  }
+  return leaves;
+}
+
+}  // namespace
+
+TEST(AdaptivePacker, LeavesMatchWriteAndFitBudget) {
+  bool seen[3] = {false, false, false};  // formats chosen across all plans
+  for (const char* kind : {"dense_runs", "sparse40", "sparse32", "gv_gate",
+                           "mixed", "straddle"}) {
+    for (uint64_t seed : {1, 2}) {
+      const auto keys = packer_stream(kind, seed);
+      for (size_t cap : {512, 1024}) {
+        const uint64_t cap_budget = cap - pma::kLeafSlack - 18;
+        for (uint64_t budget : {uint64_t{48}, uint64_t{200}, cap_budget}) {
+          SCOPED_TRACE(::testing::Message() << kind << " seed=" << seed
+                                            << " cap=" << cap
+                                            << " budget=" << budget);
+          const ALeaf::Packer packer(keys.data(), keys.size(), cap);
+          EXPECT_EQ(packer.canonical_bytes(),
+                    ALeaf::encoded_size(keys.data(), keys.size()));
+          std::vector<ALeaf::PackedLeaf> plan;
+          const auto [leaves, phys] = packer.pack(budget, &plan);
+          ASSERT_EQ(leaves, plan.size());
+          ASSERT_FALSE(plan.empty());
+          ASSERT_EQ(plan.front().begin, 0u);
+          std::vector<uint8_t> buf(cap);
+          std::vector<uint64_t> back;
+          uint64_t sum = 0;
+          for (size_t p = 0; p < plan.size(); ++p) {
+            const uint64_t s = plan[p].begin;
+            const uint64_t e =
+                p + 1 < plan.size() ? plan[p + 1].begin : keys.size();
+            ASSERT_LT(s, e);
+            const uint64_t* k = keys.data() + s;
+            ASSERT_EQ(plan[p].fmt, ALeaf::select_format(k, e - s, cap))
+                << "leaf " << p;
+            ASSERT_LE(plan[p].bytes, budget) << "leaf " << p;
+            ALeaf::write_format(buf.data(), cap, k, e - s, plan[p].fmt);
+            ASSERT_EQ(plan[p].bytes, ALeaf::used_bytes(buf.data(), cap))
+                << "leaf " << p;
+            ALeaf::decode_append(buf.data(), cap, back);
+            sum += plan[p].bytes;
+            seen[plan[p].fmt] = true;
+          }
+          EXPECT_EQ(sum, phys);
+          EXPECT_EQ(back, keys);
+          if (budget == cap_budget) {
+            EXPECT_LE(leaves, reference_leaves(keys, budget, cap));
+          }
+        }
+      }
+    }
+  }
+  EXPECT_TRUE(seen[ALeaf::kByteVarint]);
+  EXPECT_TRUE(seen[ALeaf::kGroupVarint]);
+  EXPECT_TRUE(seen[ALeaf::kBitmap]);
+}
+
+TEST(AdaptivePacker, EmptyAndSingleKeyStreams) {
+  const ALeaf::Packer empty(nullptr, 0, 512);
+  EXPECT_EQ(empty.canonical_bytes(), 0u);
+  EXPECT_EQ(empty.pack(100), (std::pair<uint64_t, uint64_t>{0, 0}));
+  const uint64_t one = 42;
+  std::vector<ALeaf::PackedLeaf> plan;
+  const ALeaf::Packer single(&one, 1, 512);
+  EXPECT_EQ(single.pack(100, &plan),
+            (std::pair<uint64_t, uint64_t>{1, ALeaf::kHeadBytes}));
+  ASSERT_EQ(plan.size(), 1u);
+  EXPECT_EQ(plan[0].fmt, ALeaf::kByteVarint);
 }

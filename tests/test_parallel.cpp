@@ -1,6 +1,7 @@
 // Tests for the fork-join scheduler and parallel primitives: correctness of
 // fork2, parallel_for, reduce, scan, merge, sort, worker-local storage, and
-// the sorted-sequence helpers under real parallelism.
+// the sorted-sequence helpers under real parallelism, plus the engine's
+// sibling-root redistribution on per-worker arenas.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -8,6 +9,7 @@
 #include <chrono>
 #include <numeric>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -18,6 +20,7 @@
 #include "parallel/seq_ops.hpp"
 #include "parallel/sort.hpp"
 #include "parallel/worker_local.hpp"
+#include "pma/cpma.hpp"
 #include "util/random.hpp"
 
 namespace par = cpma::par;
@@ -395,4 +398,55 @@ TEST(Scheduler, NestedSiblingBatchesDisjointState) {
   for (uint64_t s = 1; s < siblings; ++s) {
     ASSERT_EQ(hist[s], hist[0]) << "sibling " << s << " diverged";
   }
+}
+
+TEST(ConcurrentRedistribute, DenseAdaptiveRegionsNeverShareAnArena) {
+  // Dense runs make ACPMA leaves bitmap-encoded at thousands of keys each,
+  // so a redistribution region of a few 512-byte leaves (small enough for
+  // the per-worker arena by bytes) can carry more keys than spread handles
+  // without forking. Every island grows at its tail in each batch, giving
+  // many sibling roots per batch; on 4 workers a root that forked while
+  // holding its worker's arena would let a stolen sibling overwrite it.
+  par::Scheduler::set_num_workers(4);
+  cpma::ACPMA s;
+  std::set<uint64_t> ref;
+  constexpr uint64_t kIslands = 32;
+  std::vector<uint64_t> tail(kIslands);  // next key to append per island
+  std::vector<uint64_t> batch;
+  for (uint64_t i = 0; i < kIslands; ++i) {
+    const uint64_t base = (i + 1) << 32;
+    for (uint64_t j = 0; j < 6000; ++j) batch.push_back(base + j);
+    tail[i] = base + 6000;
+  }
+  s.insert_batch(batch);
+  ref.insert(batch.begin(), batch.end());
+  Rng r(11);
+  for (int round = 0; round < 24; ++round) {
+    batch.clear();
+    for (uint64_t i = 0; i < kIslands; ++i) {
+      const uint64_t len = 200 + r.next_below(600);
+      for (uint64_t j = 0; j < len; ++j) batch.push_back(tail[i] + j);
+      tail[i] += len + r.next_below(3) * 64;  // sometimes skip a window
+    }
+    s.insert_batch(batch);
+    ref.insert(batch.begin(), batch.end());
+    if (round % 4 == 3) {
+      // Carve a run out of every island's middle: remove-side roots.
+      batch.clear();
+      for (uint64_t i = 0; i < kIslands; ++i) {
+        const uint64_t start = ((i + 1) << 32) + r.next_below(4000);
+        for (uint64_t j = 0; j < 700; ++j) batch.push_back(start + j);
+      }
+      s.remove_batch(batch);
+      for (uint64_t k : batch) ref.erase(k);
+    }
+    std::string err;
+    ASSERT_TRUE(s.check_invariants(&err)) << "round " << round << ": " << err;
+    ASSERT_EQ(s.size(), ref.size()) << "round " << round;
+  }
+  std::vector<uint64_t> got;
+  got.reserve(ref.size());
+  s.map([&](uint64_t k) { got.push_back(k); });
+  EXPECT_TRUE(std::equal(got.begin(), got.end(), ref.begin(), ref.end()));
+  par::Scheduler::set_num_workers(std::thread::hardware_concurrency());
 }

@@ -499,7 +499,9 @@ TEST(QueryBatchConcurrency, SharedConstEngineReads) {
           ASSERT_EQ(bit_set(bits, i), ref.count(q[i]) != 0);
           auto it = ref.lower_bound(q[i]);
           ASSERT_EQ(bit_set(found, i), it != ref.end());
-          if (it != ref.end()) ASSERT_EQ(out[i], *it);
+          if (it != ref.end()) {
+            ASSERT_EQ(out[i], *it);
+          }
           ASSERT_EQ(shared.has(q[i]), ref.count(q[i]) != 0);
         }
       }
