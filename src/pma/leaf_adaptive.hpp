@@ -129,52 +129,83 @@ struct AdaptiveLeaf {
     }
   }
 
-  static bool contains(const uint8_t* leaf, size_t cap, uint64_t key) {
-    switch (leaf[8]) {
-      case kGroupVarint:
-        return GV::contains(leaf, cap, key);
-      case kBitmap: {
-        uint64_t h = head(leaf);
-        if (h == 0 || key < h) return false;
-        if (key == h) return true;
-        const uint64_t wk = codec::bitmap::window(key);
-        auto r = pairs(leaf, cap);
-        while (r.next()) {
-          if (r.win() > wk) return false;
-          if (r.win() == wk) return (r.word() & codec::bitmap::bit_mask(key)) != 0;
+  // Bitmap lower-bound cursor. `word_` holds the current pair's bits at or
+  // above the current candidate (0 before the first pair), so seek hops
+  // whole pairs while their window lies below window(key), then masks the
+  // target's window at its bit and takes the ctz, rolling over to the next
+  // pair when nothing is left at or above the target.
+  class BitmapSeekCursor {
+   public:
+    BitmapSeekCursor(const uint8_t* leaf, size_t cap)
+        : cur_(head(leaf)), done_(cur_ == 0), r_(pairs(leaf, cap)) {}
+
+    std::optional<uint64_t> seek(uint64_t key) {
+      namespace bm = codec::bitmap;
+      if (done_) return std::nullopt;
+      if (cur_ >= key) return cur_;
+      const uint64_t wk = bm::window(key);
+      while (true) {
+        // Stored words are never empty, so a pair past wk answers with its
+        // lowest bit; before the first pair win() is window(head) <= wk.
+        uint64_t word = word_;
+        if (r_.win() == wk) word &= ~uint64_t{0} << bm::bit_of(key);
+        if (r_.win() >= wk && word != 0) {
+          word_ = word;
+          cur_ = (r_.win() << 6) | static_cast<unsigned>(__builtin_ctzll(word));
+          return cur_;
         }
-        return false;
+        if (!r_.next()) {
+          done_ = true;
+          return std::nullopt;
+        }
+        word_ = r_.word();
       }
-      default:
-        return BV::contains(leaf, cap, key);
     }
+
+   private:
+    uint64_t cur_;
+    bool done_;
+    codec::bitmap::PairReader r_;
+    uint64_t word_ = 0;
+  };
+
+  // Forward-only lower-bound cursor over any format: the tag is read once at
+  // construction and the varint formats reuse CompressedLeaf's cursor.
+  // seek(k) returns the smallest stored key >= k, or nullopt once the leaf
+  // is exhausted; successive targets must be non-decreasing. All three
+  // cursors are built (a few stores each, nothing decoded) so the object is
+  // fully initialized whatever the tag, unlike a std::variant, whose
+  // inactive alternatives GCC 12 flags as maybe-uninitialized.
+  class SeekCursor {
+   public:
+    SeekCursor(const uint8_t* leaf, size_t cap)
+        : fmt_(leaf[8]), bv_(leaf, cap), gv_(leaf, cap), bm_(leaf, cap) {}
+
+    std::optional<uint64_t> seek(uint64_t key) {
+      switch (fmt_) {
+        case kGroupVarint:
+          return gv_.seek(key);
+        case kBitmap:
+          return bm_.seek(key);
+        default:
+          return bv_.seek(key);
+      }
+    }
+
+   private:
+    uint8_t fmt_;
+    BV::SeekCursor bv_;
+    GV::SeekCursor gv_;
+    BitmapSeekCursor bm_;
+  };
+
+  static bool contains(const uint8_t* leaf, size_t cap, uint64_t key) {
+    return SeekCursor(leaf, cap).seek(key) == key;
   }
 
   static std::optional<uint64_t> lower_bound(const uint8_t* leaf, size_t cap,
                                              uint64_t key) {
-    switch (leaf[8]) {
-      case kGroupVarint:
-        return GV::lower_bound(leaf, cap, key);
-      case kBitmap: {
-        uint64_t h = head(leaf);
-        if (h == 0) return std::nullopt;
-        if (h >= key) return h;
-        const uint64_t wk = codec::bitmap::window(key);
-        auto r = pairs(leaf, cap);
-        while (r.next()) {
-          if (r.win() < wk) continue;
-          uint64_t word = r.word();
-          if (r.win() == wk) {
-            word &= ~uint64_t{0} << codec::bitmap::bit_of(key);
-            if (word == 0) continue;
-          }
-          return (r.win() << 6) | static_cast<unsigned>(__builtin_ctzll(word));
-        }
-        return std::nullopt;
-      }
-      default:
-        return BV::lower_bound(leaf, cap, key);
-    }
+    return SeekCursor(leaf, cap).seek(key);
   }
 
   template <typename F>

@@ -90,27 +90,40 @@ struct CompressedLeaf {
     return 1 + stream(leaf, cap).count_remaining();
   }
 
-  static bool contains(const uint8_t* leaf, size_t cap, uint64_t key) {
-    uint64_t h = head(leaf);
-    if (h == 0 || key < h) return false;
-    if (key == h) return true;
-    Stream s = stream(leaf, cap);
-    while (s.next()) {
-      if (s.value() >= key) return s.value() == key;
+  // Forward-only lower-bound cursor: the policy's one point-search loop.
+  // seek(k) returns the smallest stored key >= k, or nullopt once the leaf
+  // is exhausted; successive targets must be non-decreasing. The stream's
+  // value() is the current candidate (the head before any decoding), so a
+  // target at or below it — a repeated probe, or one at the head — answers
+  // without touching the body.
+  class SeekCursor {
+   public:
+    SeekCursor(const uint8_t* leaf, size_t cap)
+        : s_(stream(leaf, cap)), done_(head(leaf) == 0) {}
+
+    std::optional<uint64_t> seek(uint64_t key) {
+      if (done_) return std::nullopt;
+      while (s_.value() < key) {
+        if (!s_.next()) {
+          done_ = true;
+          return std::nullopt;
+        }
+      }
+      return s_.value();
     }
-    return false;
+
+   private:
+    Stream s_;
+    bool done_;
+  };
+
+  static bool contains(const uint8_t* leaf, size_t cap, uint64_t key) {
+    return SeekCursor(leaf, cap).seek(key) == key;
   }
 
   static std::optional<uint64_t> lower_bound(const uint8_t* leaf, size_t cap,
                                              uint64_t key) {
-    uint64_t h = head(leaf);
-    if (h == 0) return std::nullopt;
-    if (h >= key) return h;
-    Stream s = stream(leaf, cap);
-    while (s.next()) {
-      if (s.value() >= key) return s.value();
-    }
-    return std::nullopt;
+    return SeekCursor(leaf, cap).seek(key);
   }
 
   // Inserts `key` with a single pass; returns false if present.

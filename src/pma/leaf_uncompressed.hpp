@@ -47,25 +47,36 @@ struct UncompressedLeaf {
 
   static uint64_t head(const uint8_t* leaf) { return cells(leaf)[0]; }
 
-  static bool contains(const uint8_t* leaf, size_t cap, uint64_t key) {
-    const uint64_t* c = cells(leaf);
-    uint64_t n = cap / 8;
-    for (uint64_t i = 0; i < n && c[i] != 0; ++i) {
-      if (c[i] == key) return true;
-      if (c[i] > key) return false;
+  // Forward-only lower-bound cursor: the policy's one point-search loop.
+  // seek(k) returns the smallest stored key >= k, or nullopt once the leaf
+  // is exhausted; successive targets must be non-decreasing. The cell index
+  // only moves forward and stops ON the answer, so a repeated target costs
+  // one compare.
+  class SeekCursor {
+   public:
+    SeekCursor(const uint8_t* leaf, size_t cap)
+        : c_(cells(leaf)), n_(cap / 8) {}
+
+    std::optional<uint64_t> seek(uint64_t key) {
+      while (i_ < n_ && c_[i_] != 0 && c_[i_] < key) ++i_;
+      if (i_ < n_ && c_[i_] != 0) return c_[i_];
+      return std::nullopt;
     }
-    return false;
+
+   private:
+    const uint64_t* c_;
+    uint64_t n_;
+    uint64_t i_ = 0;
+  };
+
+  static bool contains(const uint8_t* leaf, size_t cap, uint64_t key) {
+    return SeekCursor(leaf, cap).seek(key) == key;
   }
 
   // Smallest stored key >= `key`, if any.
   static std::optional<uint64_t> lower_bound(const uint8_t* leaf, size_t cap,
                                              uint64_t key) {
-    const uint64_t* c = cells(leaf);
-    uint64_t n = cap / 8;
-    for (uint64_t i = 0; i < n && c[i] != 0; ++i) {
-      if (c[i] >= key) return c[i];
-    }
-    return std::nullopt;
+    return SeekCursor(leaf, cap).seek(key);
   }
 
   // Inserts `key`; returns false if already present. Precondition: the leaf

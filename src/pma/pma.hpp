@@ -325,10 +325,11 @@ class PackedMemoryArray {
   // ---- batch queries (read-side twin of the batch-insert pipeline) --------
   //
   // All three take SORTED query inputs (duplicates allowed), route them
-  // through the same gallop partition the insert router uses, and decode
-  // each touched leaf ONCE — a single streaming pass shared by every query
-  // landing in that leaf — with per-run work dispatched as parallel tasks
-  // at the merge phase's grain. Wait-free const reads (see has()).
+  // through the same gallop partition the insert router uses, and read
+  // each touched leaf in one forward pass: the point queries of a leaf run
+  // share one Leaf::SeekCursor, map_ranges one streaming decode. Per-run
+  // work is dispatched as parallel tasks at the merge phase's grain.
+  // Wait-free const reads (see has()).
 
   // Sets bit (bit_base + i) of `bits` for every keys[i] present. Bits for
   // missing keys are left untouched (callers zero-init), so concurrent

@@ -1409,11 +1409,12 @@ uint64_t PackedMemoryArray<Leaf>::insert_batch_serial_baseline(
 // ---------------------------------------------------------------------------
 // Batch queries: the read-side twin of the batch pipeline. One route_runs
 // partition (the insert router's gallop) turns the sorted query array into
-// per-leaf runs; each run decodes its leaf AT MOST ONCE with a single
-// streaming Leaf::map pass shared by every query in the run, and runs are
-// dispatched as parallel tasks at the merge phase's grain. Hit bits go
-// through relaxed atomic ORs so runs (and sibling shards writing disjoint
-// slices of one bitmap) can share output words.
+// per-leaf runs; each run walks its leaf with ONE forward Leaf::SeekCursor,
+// one seek per query in ascending order, so a run never decodes past its
+// last query and a bitmap leaf hops whole 64-key windows between queries.
+// Runs are dispatched as parallel tasks at the merge phase's grain. Hit
+// bits go through relaxed atomic ORs so runs (and sibling shards writing
+// disjoint slices of one bitmap) can share output words.
 // ---------------------------------------------------------------------------
 
 namespace detail {
@@ -1445,38 +1446,15 @@ void PackedMemoryArray<Leaf>::has_batch(const key_type* keys, uint64_t n,
   route_runs(qk, qn, runs, parts);
   par::parallel_for(0, runs.size(), [&](uint64_t r) {
     const LeafRun& run = runs[r];
-    const uint8_t* lp = leaf_ptr(run.leaf);
-    const key_type h = Leaf::head(lp);
-    auto hit = [&](uint64_t q) {
-      detail::set_query_bit(bits, bit_base + start + q);
-    };
-    // Single-query run: identical work to has() — head compare, then one
-    // leaf search, no merge-join bookkeeping.
-    if (run.end - run.begin == 1) {
-      const key_type k = qk[run.begin];
-      if (k == h) {
-        hit(run.begin);
-      } else if (h != 0 && k > h && Leaf::contains(lp, leaf_bytes_, k)) {
-        hit(run.begin);
-      }
-      return;
+    // A query is a hit iff its lower bound is itself. Queries below the
+    // head (possible only at leaf 0) get the head back, a miss; once the
+    // cursor is exhausted every later query in the run misses.
+    typename Leaf::SeekCursor cur(leaf_ptr(run.leaf), leaf_bytes_);
+    for (uint64_t q = run.begin; q < run.end; ++q) {
+      const std::optional<key_type> v = cur.seek(qk[q]);
+      if (!v) break;
+      if (*v == qk[q]) detail::set_query_bit(bits, bit_base + start + q);
     }
-    uint64_t q = run.begin;
-    // Queries below the head (possible only at leaf 0) are misses; an empty
-    // leaf (h == 0, also only leaf 0 after routing) answers all-miss.
-    while (q < run.end && qk[q] < h) ++q;
-    if (h == 0 || q >= run.end) return;
-    // One streaming pass; both sides ascend, so this is a merge-join. The
-    // head is the first key the pass emits, so exact-head queries resolve
-    // before any delta decoding.
-    Leaf::map(lp, leaf_bytes_, [&](key_type k) {
-      while (q < run.end && qk[q] < k) ++q;
-      while (q < run.end && qk[q] == k) {
-        hit(q);
-        ++q;
-      }
-      return q < run.end;
-    });
   }, kQueryRunGrain);
 }
 
@@ -1513,8 +1491,6 @@ void PackedMemoryArray<Leaf>::successor_batch(const key_type* keys, uint64_t n,
   route_runs(qk, qn, runs, parts);
   par::parallel_for(0, runs.size(), [&](uint64_t r) {
     const LeafRun& run = runs[r];
-    const uint8_t* lp = leaf_ptr(run.leaf);
-    const key_type h = Leaf::head(lp);
     auto answer = [&](uint64_t q, key_type v) {
       out[start + q] = v;
       detail::set_query_bit(found, bit_base + start + q);
@@ -1523,7 +1499,6 @@ void PackedMemoryArray<Leaf>::successor_batch(const key_type* keys, uint64_t n,
     // nonempty leaf's head (the next stored key). run_end-style fast path
     // on the index before a binary search over its tail.
     auto spill = [&](uint64_t q) {
-      if (q >= run.end) return;
       const key_type hi = head_index_[run.leaf];
       uint64_t nh;
       if (run.leaf + 1 < num_leaves_ && head_index_[run.leaf + 1] != hi) {
@@ -1536,31 +1511,15 @@ void PackedMemoryArray<Leaf>::successor_batch(const key_type* keys, uint64_t n,
       }
       for (; q < run.end; ++q) answer(q, head_index_[nh]);
     };
-    // Single-query run: identical work to successor().
-    if (run.end - run.begin == 1) {
-      const key_type k = qk[run.begin];
-      if (h != 0 && k <= h) {
-        answer(run.begin, h);
-      } else if (auto v = Leaf::lower_bound(lp, leaf_bytes_, k)) {
-        answer(run.begin, *v);
-      } else {
-        spill(run.begin);
+    typename Leaf::SeekCursor cur(leaf_ptr(run.leaf), leaf_bytes_);
+    for (uint64_t q = run.begin; q < run.end; ++q) {
+      const std::optional<key_type> v = cur.seek(qk[q]);
+      if (!v) {  // above the leaf's last key (or an empty leaf 0)
+        spill(q);
+        return;
       }
-      return;
+      answer(q, *v);
     }
-    uint64_t q = run.begin;
-    if (h == 0) {  // empty leaf 0: everything spills to the first real key
-      spill(q);
-      return;
-    }
-    Leaf::map(lp, leaf_bytes_, [&](key_type k) {
-      while (q < run.end && qk[q] <= k) {
-        answer(q, k);
-        ++q;
-      }
-      return q < run.end;
-    });
-    spill(q);  // queries above the leaf's last key
   }, kQueryRunGrain);
 }
 

@@ -120,7 +120,7 @@ class ShardedPMA {
       set_splitters_from_sorted(keys.data(), keys.size());
     }
     std::vector<uint64_t> bounds;
-    partition_batch(keys.data(), keys.size(), bounds);
+    partition_by_splitters(splitters_, keys.data(), keys.size(), bounds);
     par::parallel_for(0, shards_.size(), [&](uint64_t s) {
       shards_[s].build_from_sorted(keys.data() + bounds[s],
                                    bounds[s + 1] - bounds[s]);
@@ -405,21 +405,11 @@ class ShardedPMA {
   }
 
   // ---- batch queries ------------------------------------------------------
-  // Sorted query batches are partitioned against the splitters (the same
-  // gallop as the insert router) and each shard's slice runs as a sibling
-  // task with the engine's full inner parallelism underneath. All slices
-  // write one shared output: bitmap words via relaxed atomic ORs (the
-  // engine's bit protocol), out[] slots per-query exclusive.
+  // Splitter-partitioned engine batch reads (pma/flat_leaves.hpp).
 
   void has_batch(const key_type* keys, uint64_t n, uint64_t* bits,
                  uint64_t bit_base = 0) const {
-    if (n == 0) return;
-    std::vector<uint64_t> bounds;
-    partition_batch(keys, n, bounds);
-    par::parallel_for(0, shards_.size(), [&](uint64_t s) {
-      const uint64_t b = bounds[s], e = bounds[s + 1];
-      if (e > b) shards_[s].has_batch(keys + b, e - b, bits, bit_base + b);
-    }, 1);
+    ShardedBatchReads<ShardedPMA>::has_batch(*this, keys, n, bits, bit_base);
   }
 
   std::vector<uint64_t> has_batch(const key_type* keys, uint64_t n) const {
@@ -428,37 +418,10 @@ class ShardedPMA {
     return bits;
   }
 
-  // Per-shard successor_batch, then one stitch pass: queries whose slice
-  // shard holds no key >= them (the slice's unfound SUFFIX — slices are
-  // sorted) share one answer, the next nonempty shard's minimum.
   void successor_batch(const key_type* keys, uint64_t n, key_type* out,
                        uint64_t* found, uint64_t bit_base = 0) const {
-    if (n == 0) return;
-    const uint64_t s_count = shards_.size();
-    std::vector<uint64_t> bounds;
-    partition_batch(keys, n, bounds);
-    par::parallel_for(0, s_count, [&](uint64_t s) {
-      const uint64_t b = bounds[s], e = bounds[s + 1];
-      if (e > b) {
-        shards_[s].successor_batch(keys + b, e - b, out + b, found,
-                                   bit_base + b);
-      }
-    }, 1);
-    // next_min[s]: smallest key in any shard after s (the shared answer for
-    // shard s's spill-over queries). The parallel_for above joined, so the
-    // found bits are plainly readable here.
-    std::optional<key_type> next_min;
-    for (uint64_t s = s_count; s-- > 0;) {
-      if (next_min) {
-        for (uint64_t q = bounds[s + 1]; q-- > bounds[s];) {
-          const uint64_t bit = bit_base + q;
-          if ((found[bit >> 6] >> (bit & 63)) & 1) break;  // found suffix ends
-          out[q] = *next_min;
-          found[bit >> 6] |= uint64_t{1} << (bit & 63);
-        }
-      }
-      if (auto v = shards_[s].min()) next_min = v;
-    }
+    ShardedBatchReads<ShardedPMA>::successor_batch(*this, keys, n, out, found,
+                                                   bit_base);
   }
 
   // Engine map_ranges stitched across shards: each shard receives the slice
@@ -640,31 +603,6 @@ class ShardedPMA {
     }
   }
 
-  // bounds[i] = first batch index routed to shard i; bounds[S] = n. Same
-  // exponential-gallop-then-binary-search idiom as the engine's run_end:
-  // gallop from the previous boundary, bounded search over the last gap.
-  void partition_batch(const key_type* batch, uint64_t n,
-                       std::vector<uint64_t>& bounds) const {
-    const uint64_t s_count = shards_.size();
-    bounds.assign(s_count + 1, n);
-    bounds[0] = 0;
-    uint64_t pos = 0;
-    for (uint64_t i = 0; i + 1 < s_count; ++i) {
-      const key_type sp = splitters_[i];
-      if (pos < n && batch[pos] < sp) {
-        uint64_t lo = pos, step = 1;
-        while (lo + step < n && batch[lo + step] < sp) {
-          lo += step;
-          step *= 2;
-        }
-        uint64_t hi = std::min(lo + step, n);
-        pos = static_cast<uint64_t>(
-            std::lower_bound(batch + lo, batch + hi, sp) - batch);
-      }
-      bounds[i + 1] = pos;
-    }
-  }
-
   // Shared insert/remove batch driver: sort once, partition against the
   // splitters, dispatch every shard's slice as a sibling top-level task
   // (each slice arrives sorted, so the engines skip their own sort), then
@@ -693,7 +631,7 @@ class ShardedPMA {
       }
     }
     std::vector<uint64_t> bounds;
-    partition_batch(input, n, bounds);
+    partition_by_splitters(splitters_, input, n, bounds);
     router_times_.route_ns += pt.lap();
     const uint64_t s_count = shards_.size();
     util::uvector<uint64_t> delta(s_count);

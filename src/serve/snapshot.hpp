@@ -129,21 +129,17 @@ class SnapshotView {
   }
 
   // ---- batch queries ------------------------------------------------------
-  // ShardedPMA's amortized batch reads over the immutable view: sorted
-  // queries partitioned against the splitters, per-shard slices as sibling
-  // tasks, one decode per touched leaf. Because the view never mutates,
-  // any number of reader threads may run these concurrently on one pinned
-  // snapshot — this is the multi-get surface serving clients use.
+  // ShardedPMA's batch reads over the immutable view: sorted queries
+  // partitioned against the splitters, per-shard slices as sibling tasks,
+  // each engine walking every touched leaf once with a forward seek cursor
+  // (pma/flat_leaves.hpp). Because the view never mutates, any number of
+  // reader threads may run these concurrently on one pinned snapshot —
+  // this is the multi-get surface serving clients use.
 
   void has_batch(const key_type* keys, uint64_t n, uint64_t* bits,
                  uint64_t bit_base = 0) const {
-    if (n == 0) return;
-    std::vector<uint64_t> bounds;
-    partition_batch(keys, n, bounds);
-    par::parallel_for(0, shards_.size(), [&](uint64_t s) {
-      const uint64_t b = bounds[s], e = bounds[s + 1];
-      if (e > b) shards_[s]->has_batch(keys + b, e - b, bits, bit_base + b);
-    }, 1);
+    pma::ShardedBatchReads<SnapshotView>::has_batch(*this, keys, n, bits,
+                                                    bit_base);
   }
 
   std::vector<uint64_t> has_batch(const key_type* keys, uint64_t n) const {
@@ -154,31 +150,8 @@ class SnapshotView {
 
   void successor_batch(const key_type* keys, uint64_t n, key_type* out,
                        uint64_t* found, uint64_t bit_base = 0) const {
-    if (n == 0) return;
-    const uint64_t s_count = shards_.size();
-    std::vector<uint64_t> bounds;
-    partition_batch(keys, n, bounds);
-    par::parallel_for(0, s_count, [&](uint64_t s) {
-      const uint64_t b = bounds[s], e = bounds[s + 1];
-      if (e > b) {
-        shards_[s]->successor_batch(keys + b, e - b, out + b, found,
-                                    bit_base + b);
-      }
-    }, 1);
-    // Stitch spill-over queries (a slice's unfound suffix) to the next
-    // nonempty shard's minimum, right to left.
-    std::optional<key_type> next_min;
-    for (uint64_t s = s_count; s-- > 0;) {
-      if (next_min) {
-        for (uint64_t q = bounds[s + 1]; q-- > bounds[s];) {
-          const uint64_t bit = bit_base + q;
-          if ((found[bit >> 6] >> (bit & 63)) & 1) break;
-          out[q] = *next_min;
-          found[bit >> 6] |= uint64_t{1} << (bit & 63);
-        }
-      }
-      if (auto v = shards_[s]->min()) next_min = v;
-    }
+    pma::ShardedBatchReads<SnapshotView>::successor_batch(*this, keys, n, out,
+                                                          found, bit_base);
   }
 
   template <typename F>
@@ -305,30 +278,6 @@ class SnapshotView {
     return static_cast<uint64_t>(
         std::upper_bound(splitters_.begin(), splitters_.end(), key) -
         splitters_.begin());
-  }
-
-  // bounds[i] = first query index routed to shard i; bounds[S] = n. Same
-  // gallop idiom as ShardedPMA::partition_batch.
-  void partition_batch(const key_type* batch, uint64_t n,
-                       std::vector<uint64_t>& bounds) const {
-    const uint64_t s_count = shards_.size();
-    bounds.assign(s_count + 1, n);
-    bounds[0] = 0;
-    uint64_t pos = 0;
-    for (uint64_t i = 0; i + 1 < s_count; ++i) {
-      const key_type sp = splitters_[i];
-      if (pos < n && batch[pos] < sp) {
-        uint64_t lo = pos, step = 1;
-        while (lo + step < n && batch[lo + step] < sp) {
-          lo += step;
-          step *= 2;
-        }
-        uint64_t hi = std::min(lo + step, n);
-        pos = static_cast<uint64_t>(
-            std::lower_bound(batch + lo, batch + hi, sp) - batch);
-      }
-      bounds[i + 1] = pos;
-    }
   }
 
   std::vector<key_type> splitters_;

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cstring>
 #include <iterator>
+#include <optional>
 #include <set>
 #include <string>
 #include <utility>
@@ -675,4 +676,160 @@ TEST(AdaptivePacker, EmptyAndSingleKeyStreams) {
             (std::pair<uint64_t, uint64_t>{1, ALeaf::kHeadBytes}));
   ASSERT_EQ(plan.size(), 1u);
   EXPECT_EQ(plan[0].fmt, ALeaf::kByteVarint);
+}
+
+// ---- SeekCursor: the forward lower-bound cursor every policy's point
+// search goes through ------------------------------------------------------
+
+namespace {
+
+// How a typed case materializes a sorted key set: the policy's own write(),
+// or the adaptive leaf pinned to one format through write_format.
+template <typename L>
+struct PolicyWrite {
+  using Leaf = L;
+  static void write(uint8_t* leaf, size_t cap,
+                    const std::vector<uint64_t>& keys) {
+    L::write(leaf, cap, keys.data(), keys.size());
+  }
+};
+
+template <uint8_t Fmt>
+struct AdaptiveFormat {
+  using Leaf = pma::AdaptiveLeaf;
+  static void write(uint8_t* leaf, size_t cap,
+                    const std::vector<uint64_t>& keys) {
+    Leaf::write_format(leaf, cap, keys.data(), keys.size(), Fmt);
+  }
+};
+
+}  // namespace
+
+template <typename W>
+class SeekCursorTest : public ::testing::Test {
+ protected:
+  using Leaf = typename W::Leaf;
+  // Room for 300 keys in every format: 8 B cells, <= 10 B varints, <= 19 B
+  // bitmap pairs.
+  static constexpr size_t kCap = 8192;
+  std::vector<uint8_t> buf_ = std::vector<uint8_t>(kCap, 0);
+
+  // Writes `keys`, then answers the non-decreasing `probes` through ONE
+  // cursor, checking each seek (and the one-shot contains / lower_bound)
+  // against std::set.
+  void check(const std::vector<uint64_t>& keys,
+             const std::vector<uint64_t>& probes) {
+    W::write(buf_.data(), kCap, keys);
+    ASSERT_EQ(Leaf::element_count(buf_.data(), kCap), keys.size());
+    const std::set<uint64_t> ref(keys.begin(), keys.end());
+    typename Leaf::SeekCursor cur(buf_.data(), kCap);
+    for (size_t i = 0; i < probes.size(); ++i) {
+      const uint64_t k = probes[i];
+      ASSERT_TRUE(i == 0 || probes[i - 1] <= k) << "probes must ascend";
+      auto it = ref.lower_bound(k);
+      const std::optional<uint64_t> expect =
+          it == ref.end() ? std::nullopt : std::optional<uint64_t>(*it);
+      ASSERT_EQ(cur.seek(k), expect) << "probe " << i << " key=" << k;
+      ASSERT_EQ(Leaf::lower_bound(buf_.data(), kCap, k), expect)
+          << "key=" << k;
+      ASSERT_EQ(Leaf::contains(buf_.data(), kCap, k), ref.count(k) != 0)
+          << "key=" << k;
+    }
+  }
+};
+
+using SeekWriters = ::testing::Types<
+    PolicyWrite<pma::UncompressedLeaf>, PolicyWrite<pma::CompressedLeaf<>>,
+    PolicyWrite<pma::CompressedLeaf<cpma::codec::GroupVarintCodec>>,
+    AdaptiveFormat<pma::AdaptiveLeaf::kByteVarint>,
+    AdaptiveFormat<pma::AdaptiveLeaf::kGroupVarint>,
+    AdaptiveFormat<pma::AdaptiveLeaf::kBitmap>>;
+TYPED_TEST_SUITE(SeekCursorTest, SeekWriters);
+
+TYPED_TEST(SeekCursorTest, EmptyLeaf) {
+  this->check({}, {0, 1, 5, 5, ~uint64_t{0}});
+}
+
+TYPED_TEST(SeekCursorTest, HeadLastAndPastLast) {
+  const std::vector<uint64_t> keys = {100, 101, 164, 1000, 4096};
+  // Below the head, equal to the head (twice), the last key, one past it,
+  // and further probes on the exhausted cursor.
+  this->check(keys, {1, 99, 100, 100, 4096, 4097, 4097, ~uint64_t{0}});
+  this->check(keys, {4095, 4096});
+  this->check(keys, {4097});
+  this->check({7}, {6, 7, 7, 8});
+}
+
+TYPED_TEST(SeekCursorTest, DuplicateProbes) {
+  const std::vector<uint64_t> keys = {3, 5, 9, 64, 65, 200, 70000};
+  this->check(keys, {4, 4, 5, 5, 5, 6, 6, 64, 64, 66, 66, 70000, 70000});
+}
+
+TYPED_TEST(SeekCursorTest, WindowRollOver) {
+  // Window 2 (keys 128..191) holds 130 and 131 only: probes at 140 and 191
+  // find no higher bit there and must roll over to the next pair (window
+  // 3, key 200); 250 rolls over two windows to 300, and 63/64 straddle the
+  // head's own window.
+  const std::vector<uint64_t> keys = {60, 62, 130, 131, 200, 255, 300};
+  this->check(keys, {61, 63, 64, 131, 132, 140, 191, 192, 201, 250, 256});
+  this->check(keys, {140});
+  this->check(keys, {191, 255, 256, 301});
+}
+
+TYPED_TEST(SeekCursorTest, RandomizedAgainstStdSet) {
+  Rng rng(0x5EEC);
+  for (int round = 0; round < 200; ++round) {
+    // Dense runs (bitmap-shaped), scattered keys and gaps of every scale,
+    // so windows are full, sparse, shared with the head, or far apart.
+    std::set<uint64_t> s;
+    uint64_t k = 1 + rng.next_below(1000);
+    const size_t target = rng.next_below(300);
+    while (s.size() < target) {
+      switch (rng.next_below(3)) {
+        case 0: {
+          const uint64_t len = 1 + rng.next_below(100);
+          const uint64_t step = 1 + rng.next_below(2);
+          for (uint64_t i = 0; i < len && s.size() < target; ++i) {
+            s.insert(k);
+            k += step;
+          }
+          break;
+        }
+        case 1:
+          s.insert(k);
+          k += 1 + rng.next_below(64);
+          break;
+        default:
+          s.insert(k);
+          k += 1 + (rng.next() >> (24 + rng.next_below(36)));
+      }
+    }
+    const std::vector<uint64_t> keys(s.begin(), s.end());
+    // Probes: stored keys and their neighbours, window edges, random
+    // values across (and past) the span, each sometimes repeated.
+    std::vector<uint64_t> probes;
+    const uint64_t span = keys.empty() ? 1000 : keys.back() + 200;
+    for (int i = 0; i < 150; ++i) {
+      uint64_t p;
+      const uint64_t near = keys.empty() ? 0 : keys[rng.next_below(keys.size())];
+      switch (rng.next_below(4)) {
+        case 0:
+          p = near;
+          break;
+        case 1:
+          p = near + 1;
+          break;
+        case 2:
+          p = (near | 63) + rng.next_below(2);
+          break;
+        default:
+          p = rng.next_below(span);
+      }
+      probes.push_back(p);
+      if (rng.next_below(5) == 0) probes.push_back(p);
+    }
+    std::sort(probes.begin(), probes.end());
+    SCOPED_TRACE(::testing::Message() << "round " << round);
+    this->check(keys, probes);
+  }
 }

@@ -12,11 +12,13 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <iterator>
 #include <mutex>
 #include <optional>
 #include <set>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -272,6 +274,105 @@ TYPED_TEST(QueryBatch, RandomizedDifferential) {
     check_queries(pma, ref, q, "engine round " + std::to_string(round));
     check_map_ranges(pma, ref, rng, "engine round " + std::to_string(round));
   }
+}
+
+TYPED_TEST(QueryBatch, DenseRunsMultiProbeRuns) {
+  // Clustered runs of consecutive (or every-other) keys at random 44-bit
+  // bases, with a tenth punched back out: the ACPMA stores these as bitmap
+  // leaves, each holding over a thousand keys, so the shapes below put
+  // many probes into one leaf run and walk its seek cursor across full,
+  // holed and empty 64-key windows.
+  Rng rng(0xD3115E);
+  TypeParam pma;
+  std::set<uint64_t> ref;
+  std::vector<uint64_t> keys;
+  while (keys.size() < 60000) {
+    const uint64_t base = 1 + (rng.next() >> 20);
+    const uint64_t len = 256 + rng.next_below(768);
+    const uint64_t step = 1 + rng.next_below(2);
+    for (uint64_t i = 0; i < len; ++i) keys.push_back(base + i * step);
+  }
+  ref.insert(keys.begin(), keys.end());
+  pma.insert_batch(keys.data(), keys.size());
+  std::vector<uint64_t> holes;
+  for (uint64_t k : ref) {
+    if (rng.next_below(10) == 0) holes.push_back(k);
+  }
+  for (uint64_t k : holes) ref.erase(k);
+  pma.remove_batch(holes.data(), holes.size());
+  std::string err;
+  ASSERT_TRUE(pma.check_invariants(&err)) << invariant_err(err);
+  ASSERT_EQ(pma.size(), ref.size());
+  if constexpr (std::is_same_v<TypeParam, cpma::ACPMA>) {
+    // Well under a byte per key: the leaves really are bitmaps.
+    EXPECT_LT(static_cast<double>(pma.content_bytes()) / pma.size(), 0.5);
+  }
+
+  // Hundreds of probes in one stretch: every value (plus a repeat of some)
+  // over 600 consecutive keys from a stored key.
+  for (int rep = 0; rep < 6; ++rep) {
+    auto it = ref.begin();
+    std::advance(it, rng.next_below(ref.size()));
+    std::vector<uint64_t> q;
+    for (uint64_t k = *it; k < *it + 600; ++k) {
+      q.push_back(k);
+      if (rng.next_below(4) == 0) q.push_back(k);  // duplicate probes
+    }
+    check_queries(pma, ref, q, "stretch " + std::to_string(rep));
+  }
+
+  // Every probe in one leaf: its keys, the values between them and below
+  // its head, duplicates, and probes between its last key and the next
+  // leaf's head, which spill to that head. The last nonempty leaf's
+  // past-the-end probes have no successor at all.
+  std::vector<uint64_t> nonempty;
+  for (uint64_t l = 0; l < pma.num_leaves(); ++l) {
+    if (pma.leaf_element_count(l) >= 2) nonempty.push_back(l);
+  }
+  ASSERT_FALSE(nonempty.empty());
+  std::vector<uint64_t> picks = {nonempty.front(), nonempty.back()};
+  for (int i = 0; i < 8; ++i) {
+    picks.push_back(nonempty[rng.next_below(nonempty.size())]);
+  }
+  for (uint64_t l : picks) {
+    std::vector<uint64_t> lk;
+    pma.scan_leaf_keys(l, [&](uint64_t k) { lk.push_back(k); });
+    auto next = ref.upper_bound(lk.back());
+    const uint64_t gap_end = next == ref.end() ? lk.back() + 1000 : *next;
+    std::vector<uint64_t> q;
+    if (l == nonempty.front() && lk.front() > 1) q.push_back(lk.front() - 1);
+    for (size_t i = 0; i < lk.size(); ++i) {
+      q.push_back(lk[i]);
+      if (rng.next_below(8) == 0) q.push_back(lk[i]);
+      // The absent values up to the next key; a leaf may straddle two runs,
+      // so a wide gap gets only its two ends.
+      if (i + 1 == lk.size()) break;
+      const uint64_t gap = lk[i + 1] - lk[i];
+      for (uint64_t k = lk[i] + 1; k < lk[i + 1]; k += gap > 8 ? gap - 2 : 1) {
+        q.push_back(k);
+      }
+    }
+    for (uint64_t k = lk.back() + 1; k < gap_end && k < lk.back() + 4; ++k) {
+      q.push_back(k);
+      q.push_back(k);
+    }
+    if (gap_end - 1 > lk.back()) q.push_back(gap_end - 1);
+    check_queries(pma, ref, q, "leaf " + std::to_string(l));
+  }
+
+  // Whole structure: probes clustered around stored keys, so most runs
+  // hold several, plus random values and past-the-max probes.
+  std::vector<uint64_t> stored(ref.begin(), ref.end());
+  std::vector<uint64_t> q;
+  for (int i = 0; i < 20000; ++i) {
+    const uint64_t k = stored[rng.next_below(stored.size())];
+    q.push_back(k - rng.next_below(3) + rng.next_below(3));
+  }
+  for (int i = 0; i < 200; ++i) q.push_back(rng.next() >> 20);
+  q.push_back(stored.back() + 1);
+  q.push_back(kMax);
+  std::sort(q.begin(), q.end());
+  check_queries(pma, ref, q, "clustered");
 }
 
 TYPED_TEST(QueryBatch, EmptyAndSentinels) {
